@@ -11,8 +11,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use totem_cluster::{ClusterConfig, SimCluster};
+use totem_cluster::{BackendKind, ClusterConfig, SimCluster};
 use totem_rrp::ReplicationStyle;
 use totem_sim::{SimDuration, SimTime};
 use totem_wire::{Chunk, DataPacket, NodeId, RingId, Seq, SharedPacket};
@@ -49,11 +50,45 @@ fn snapshot() -> (u64, u64) {
     (ALLOC_COUNT.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed))
 }
 
-/// Steady-state allocation cost of a saturated cluster: (allocations
-/// per wire frame, allocated bytes per wire frame).
+/// The counters are process-wide and the harness runs tests on
+/// parallel threads, so every test holds this lock for its whole body:
+/// no sibling allocates inside another's counted window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; the `()` it guards is intact.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Allocations during `pass`, the fewest of three attempts, each on a
+/// fixture freshly built by `fixture` outside the counted window. The
+/// lock keeps sibling tests out, but the harness itself allocates on
+/// its own thread while it records a finished sibling's result, and
+/// that can land in a short window. Because every attempt starts from
+/// a new fixture, an allocation `pass` makes, even one made only on
+/// the first touch of an object, shows in every attempt.
+fn fewest_of_three<F>(mut fixture: impl FnMut() -> F, mut pass: impl FnMut(&F)) -> u64 {
+    (0..3)
+        .map(|_| {
+            let fresh = fixture();
+            let (a0, _) = snapshot();
+            pass(&fresh);
+            snapshot().0 - a0
+        })
+        .min()
+        .expect("three attempts")
+}
+
+/// Steady-state allocation cost of a saturated Totem cluster:
+/// (allocations per wire frame, allocated bytes per wire frame).
 fn per_frame_cost(nodes: usize, msg_size: usize) -> (f64, f64) {
     let mut cfg = ClusterConfig::new(nodes, ReplicationStyle::Active).counters_only().with_seed(7);
     cfg.sim = cfg.sim.with_cpu(totem_sim::CpuConfig::pentium_ii_450());
+    saturated_cost(cfg, msg_size)
+}
+
+/// Steady-state allocation cost of `cfg` under the saturation pump.
+fn saturated_cost(cfg: ClusterConfig, msg_size: usize) -> (f64, f64) {
     let mut cluster = SimCluster::new(cfg);
     cluster.enable_saturation(msg_size);
 
@@ -75,23 +110,29 @@ fn per_frame_cost(nodes: usize, msg_size: usize) -> (f64, f64) {
 /// the wire form is free.
 #[test]
 fn second_encode_of_a_shared_frame_allocates_nothing() {
-    let pkt: SharedPacket = DataPacket {
-        ring: RingId::new(NodeId::new(0), 1),
-        seq: Seq::new(1),
-        sender: NodeId::new(0),
-        chunks: vec![Chunk::complete(1, bytes::Bytes::from(vec![0xAB; 700]))],
-    }
-    .into();
-
-    let first = pkt.encoded().clone();
-    let (a0, _) = snapshot();
-    for _ in 0..16 {
-        // Clones of the handle share the cache: no encode, no alloc.
-        let copy = pkt.clone();
-        assert_eq!(copy.encoded().as_ref(), first.as_ref());
-    }
-    let (a1, _) = snapshot();
-    assert_eq!(a1 - a0, 0, "re-reading the cached encoding must not allocate");
+    let _serial = serial();
+    let spent = fewest_of_three(
+        || {
+            let pkt: SharedPacket = DataPacket {
+                ring: RingId::new(NodeId::new(0), 1),
+                seq: Seq::new(1),
+                sender: NodeId::new(0),
+                chunks: vec![Chunk::complete(1, bytes::Bytes::from(vec![0xAB; 700]))],
+            }
+            .into();
+            // The first encode allocates, outside the counted window.
+            let first = pkt.encoded().clone();
+            (pkt, first)
+        },
+        |(pkt, first)| {
+            for _ in 0..16 {
+                // Clones of the handle share the cache: no encode, no alloc.
+                let copy = pkt.clone();
+                assert_eq!(copy.encoded().as_ref(), first.as_ref());
+            }
+        },
+    );
+    assert_eq!(spent, 0, "re-reading the cached encoding must not allocate");
 }
 
 /// Per-frame allocation cost must not scale with the receiver count:
@@ -101,6 +142,7 @@ fn second_encode_of_a_shared_frame_allocates_nothing() {
 /// doubling with a per-receiver copy.
 #[test]
 fn broadcast_cost_is_independent_of_cluster_size() {
+    let _serial = serial();
     let (allocs4, bytes4) = per_frame_cost(4, 700);
     let (allocs8, bytes8) = per_frame_cost(8, 700);
 
@@ -121,4 +163,22 @@ fn broadcast_cost_is_independent_of_cluster_size() {
         bytes8 < bytes4 * 1.6,
         "alloc bytes/frame scaled with cluster size: {bytes4:.0} -> {bytes8:.0}"
     );
+}
+
+/// A saturated 3-node Ring Paxos ensemble. Its per-instance state
+/// lives in instance-indexed windows, so steady state allocates only
+/// for the frames themselves and the per-request dedup sets; a
+/// per-instance tree map would add its node allocations here.
+#[test]
+fn ring_paxos_allocations_per_frame() {
+    let _serial = serial();
+    let cfg = ClusterConfig::new(3, ReplicationStyle::Single)
+        .counters_only()
+        .with_seed(7)
+        .with_backend(BackendKind::RingPaxos);
+    let (allocs, _) = saturated_cost(cfg, 256);
+    println!("ring paxos, 3 nodes, 256 B: {allocs:.3} allocs/frame");
+    // Measured 2.58 (deterministic per seed); the same engine on
+    // per-instance BTreeMaps measured 3.00.
+    assert!(allocs < 2.7, "ring paxos allocs/frame regressed: {allocs:.2}");
 }

@@ -11,6 +11,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use totem_transport::inbox::{InboxArena, MAX_BATCH_FRAMES};
 use totem_wire::NetworkId;
@@ -44,6 +45,16 @@ fn allocs() -> u64 {
     ALLOC_COUNT.load(Ordering::Relaxed)
 }
 
+/// The counter is process-wide and the harness runs tests on parallel
+/// threads, so every test holds this lock for its whole body: no
+/// sibling allocates inside another's counted window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; the `()` it guards is intact.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Steady-state cost of the arena cycle: after a warm-up batch sizes
 /// the buffers, each full batch (push × frames, seal, carve every
 /// frame) costs a small constant number of allocations — the
@@ -52,6 +63,7 @@ fn allocs() -> u64 {
 /// here is none — regardless of how many datagrams it carries.
 #[test]
 fn arena_batch_cycle_allocates_o1_not_per_frame() {
+    let _serial = serial();
     const FRAMES: usize = MAX_BATCH_FRAMES;
     let datagram = [0xABu8; 512];
     let mut arena = InboxArena::new(NetworkId::new(0));
@@ -97,17 +109,32 @@ fn arena_batch_cycle_allocates_o1_not_per_frame() {
 /// allocation instead of owning copies, so carving allocates nothing.
 #[test]
 fn carving_a_sealed_batch_allocates_nothing() {
-    let mut arena = InboxArena::new(NetworkId::new(1));
-    for i in 0..32u8 {
-        arena.push(&[i; 256]);
-    }
-    let sealed = arena.seal().expect("non-empty");
+    let _serial = serial();
+    // The fewest allocations of three attempts, each carving a freshly
+    // sealed batch: the lock keeps sibling tests out, but the harness
+    // itself allocates on its own thread while it records a finished
+    // sibling's result, and that can land in this short window. A new
+    // arena and batch per attempt make an allocation carving makes,
+    // even one made only on the first touch of a batch, show in every
+    // attempt.
+    let spent = (0..3)
+        .map(|_| {
+            let mut arena = InboxArena::new(NetworkId::new(1));
+            for i in 0..32u8 {
+                arena.push(&[i; 256]);
+            }
+            let sealed = arena.seal().expect("non-empty");
 
-    let a0 = allocs();
-    let mut total = 0usize;
-    for frame in sealed.iter() {
-        total += frame.len();
-    }
-    assert_eq!(allocs() - a0, 0, "carving must not allocate");
-    assert_eq!(total, 32 * 256);
+            let a0 = allocs();
+            let mut total = 0usize;
+            for frame in sealed.iter() {
+                total += frame.len();
+            }
+            let spent = allocs() - a0;
+            assert_eq!(total, 32 * 256);
+            spent
+        })
+        .min()
+        .expect("three attempts");
+    assert_eq!(spent, 0, "carving must not allocate");
 }

@@ -27,6 +27,28 @@
 //! the engine self-applies its own multicasts because the simulated
 //! medium — like real multicast sockets configured without loopback —
 //! does not echo a frame back to its sender.
+//!
+//! # State layout
+//!
+//! Instances are opened densely and in order, so every piece of
+//! per-instance state lives in an `InstanceWindow`: a run of
+//! consecutive slots indexed by instance offset, with O(1) lookup,
+//! insert and remove and iteration in instance order. State that shares
+//! a key set shares a slot, which leaves three windows:
+//!
+//! * `open` — the coordinator's opened, undecided instances, each with
+//!   its `Accept` retransmit clock (`OpenInstance`);
+//! * `acceptor` — an acceptor's undecided instances: the accepted
+//!   value, whether the predecessor's `RingAck` arrived, and whether
+//!   this node already forwarded (`AcceptorSlot`);
+//! * `learned` — every decision this node has heard (`Learned`): the
+//!   first one, kept to serve repairs, and the one awaiting delivery.
+//!
+//! `open` and `acceptor` hold only in-flight instances and shrink as
+//! decisions arrive. `learned` is a log: it keeps every decision for the
+//! life of the node, so it grows O(instances) — one slot per instance
+//! decided since boot. Nothing truncates it (there is no checkpoint or
+//! state transfer to make old decisions unneeded).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -36,7 +58,7 @@ use bytes::Bytes;
 use totem_srp::{Delivered, SubmitError};
 use totem_wire::{
     Ballot, InstanceId, NetworkId, NodeId, Packet, Proposal, RingId, RingPaxosMsg, Seq,
-    SerialOrdKey, SharedPacket, Transition,
+    SharedPacket, Transition,
 };
 
 use crate::backend::Broadcast;
@@ -85,6 +107,173 @@ struct PendingReq {
     backoff: Nanos,
 }
 
+/// What an instance was decided to: a client value, or `None` for a
+/// nop hole-fill.
+type Decision = Option<Proposal>;
+
+/// The coordinator's record of an opened, undecided instance, with the
+/// retransmit clock of its `Accept` (timestamps are excluded from
+/// [`Broadcast::fingerprint`]).
+#[derive(Debug)]
+struct OpenInstance {
+    value: Proposal,
+    /// When the `Accept` last went out.
+    sent: Nanos,
+    /// Current retransmit backoff (doubles per retry, capped).
+    backoff: Nanos,
+}
+
+/// An acceptor's record of an instance it has not seen decided.
+#[derive(Debug, Default)]
+struct AcceptorSlot {
+    /// The value from the coordinator's `Accept`, once one arrived.
+    value: Option<Proposal>,
+    /// The predecessor's `RingAck` has arrived.
+    pred_acked: bool,
+    /// This acceptor has acked (or decided) the instance. A
+    /// retransmitted `Accept` clears it first: a retry means the ring
+    /// stalled, so the ack (or the closing `Decision`) must travel
+    /// again — the original may have been lost.
+    forwarded: bool,
+}
+
+/// A learner's record of a decided instance.
+#[derive(Debug)]
+struct Learned {
+    /// The first decision heard, kept for the node's life so any
+    /// `LearnReq` or duplicate `Propose` can be served from it (every
+    /// node keeps one: the coordinator itself may miss the `Decision`
+    /// multicast, and its repair request can then be answered by any
+    /// peer that saw it).
+    logged: Decision,
+    /// The decision to deliver: the latest heard, taken on delivery.
+    /// `Some` exactly for instances at or after `next_deliver`.
+    pending: Option<Decision>,
+}
+
+/// How far beyond either end of a non-empty [`InstanceWindow`] an
+/// insert may land. The ring stalls while any member is down or cut
+/// off, so real traffic stays within a few in-flight windows of the
+/// instances a node already holds; the bound exists so that one corrupt
+/// instance id cannot allocate gigabytes of empty slots. An insert past
+/// it is refused and the message carrying it dropped, as if lost.
+const MAX_GAP: usize = 1 << 16;
+
+/// A map from instance ids to `V`, kept as a run of consecutive slots.
+///
+/// Slot `i` holds instance `base_iid + i`, by raw wrapping arithmetic
+/// (so across the `u64` wrap the slot of the reserved id 0 just stays
+/// empty). The first and last slots are always occupied: removing an
+/// end entry trims the run, and an emptied window takes its next insert
+/// as the new base. Inserts may land at most [`MAX_GAP`] instances
+/// before the first or after the last entry. Iteration runs in serial
+/// instance order from the first entry.
+#[derive(Debug)]
+struct InstanceWindow<V> {
+    /// The instance of `slots[0]`; meaningless while `slots` is empty.
+    base_iid: InstanceId,
+    slots: VecDeque<Option<V>>,
+    /// Occupied slots.
+    len: usize,
+}
+
+impl<V> InstanceWindow<V> {
+    fn new() -> Self {
+        InstanceWindow { base_iid: InstanceId::ZERO, slots: VecDeque::new(), len: 0 }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// `iid`'s distance past the base, by serial offset.
+    fn offset(&self, iid: InstanceId) -> Option<usize> {
+        usize::try_from(iid.as_u64().wrapping_sub(self.base_iid.as_u64())).ok()
+    }
+
+    fn get(&self, iid: InstanceId) -> Option<&V> {
+        self.slots.get(self.offset(iid)?)?.as_ref()
+    }
+
+    fn get_mut(&mut self, iid: InstanceId) -> Option<&mut V> {
+        let i = self.offset(iid)?;
+        self.slots.get_mut(i)?.as_mut()
+    }
+
+    fn contains(&self, iid: InstanceId) -> bool {
+        self.get(iid).is_some()
+    }
+
+    /// The entry for `iid`, created by `f` if absent; `None` (and no
+    /// change) when `iid` lies more than [`MAX_GAP`] from the window.
+    fn get_or_insert_with(&mut self, iid: InstanceId, f: impl FnOnce() -> V) -> Option<&mut V> {
+        if self.slots.is_empty() {
+            self.base_iid = iid;
+        }
+        let len = self.slots.len();
+        let i = match self.offset(iid) {
+            Some(i) if i < len => i,
+            Some(i) if i - len < MAX_GAP => {
+                self.slots.resize_with(i + 1, || None);
+                i
+            }
+            _ => {
+                let before = self.base_iid.as_u64().wrapping_sub(iid.as_u64());
+                let n = usize::try_from(before).ok().filter(|&n| n <= MAX_GAP)?;
+                self.slots.reserve(n);
+                for _ in 0..n {
+                    self.slots.push_front(None);
+                }
+                self.base_iid = iid;
+                0
+            }
+        };
+        let slot = &mut self.slots[i];
+        if slot.is_none() {
+            self.len += 1;
+        }
+        Some(slot.get_or_insert_with(f))
+    }
+
+    fn remove(&mut self, iid: InstanceId) -> Option<V> {
+        let i = self.offset(iid)?;
+        let v = self.slots.get_mut(i)?.take()?;
+        self.len -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base_iid = InstanceId::new(self.base_iid.as_u64().wrapping_add(1));
+        }
+        while let Some(None) = self.slots.back() {
+            self.slots.pop_back();
+        }
+        Some(v)
+    }
+
+    /// Entries in instance order.
+    fn iter(&self) -> impl Iterator<Item = (InstanceId, &V)> {
+        self.iter_from(self.base_iid)
+    }
+
+    /// Entries at or after `from`, in instance order (all of them when
+    /// `from` precedes the window).
+    fn iter_from(&self, from: InstanceId) -> impl Iterator<Item = (InstanceId, &V)> {
+        let (skip, mut raw) = if from.follows(self.base_iid) {
+            (self.offset(from).unwrap_or(usize::MAX), from.as_u64())
+        } else {
+            (0, self.base_iid.as_u64())
+        };
+        self.slots.range(skip.min(self.slots.len())..).filter_map(move |slot| {
+            let iid = InstanceId::new(raw);
+            raw = raw.wrapping_add(1);
+            slot.as_ref().map(|v| (iid, v))
+        })
+    }
+}
+
 /// One node of the Ring Paxos ensemble. Every node is proposer,
 /// acceptor and learner; `members[0]` additionally coordinates.
 #[derive(Debug)]
@@ -120,19 +309,10 @@ pub struct RingPaxosNode {
     /// In-order proposals waiting for a window slot.
     ready: VecDeque<Proposal>,
     /// Opened, undecided instances.
-    open: BTreeMap<SerialOrdKey, Proposal>,
-    /// Retransmit clock per open instance: when its `Accept` last
-    /// went out and the current backoff (excluded from
-    /// [`Broadcast::hash_state`], like every timestamp here).
-    accept_retry: BTreeMap<SerialOrdKey, (Nanos, Nanos)>,
+    open: InstanceWindow<OpenInstance>,
     /// Which instance each request was sequenced into (duplicate
     /// `Propose` suppression and re-serve).
     assigned: BTreeMap<(NodeId, u64, u64), InstanceId>,
-    /// Every decision this node has learned, kept forever so any
-    /// `LearnReq` can be served from it (every node keeps one: the
-    /// coordinator itself may miss the `Decision` multicast, and its
-    /// repair request can then be answered by any peer that saw it).
-    decision_log: BTreeMap<SerialOrdKey, Option<Proposal>>,
 
     // --- acceptor ---
     /// Serially-highest *coordinator* ballot seen; older coordinator
@@ -141,19 +321,13 @@ pub struct RingPaxosNode {
     /// reborn acceptor must not outrank a coordinator that never
     /// crashed.
     max_ballot: Ballot,
-    /// Accepted but not yet decided instances.
-    accepted: BTreeMap<SerialOrdKey, Proposal>,
-    /// Instances whose predecessor ack has arrived.
-    pred_acked: BTreeSet<SerialOrdKey>,
-    /// Instances this acceptor has already acked / decided. A
-    /// retransmitted `Accept` clears the entry first: a retry means
-    /// the ring stalled, so the ack (or the closing `Decision`) must
-    /// travel again — the original may have been lost.
-    forwarded: BTreeSet<SerialOrdKey>,
+    /// Instances not yet decided here that have seen an `Accept` or
+    /// the predecessor's `RingAck`.
+    acceptor: InstanceWindow<AcceptorSlot>,
 
     // --- learner ---
-    /// Decisions not yet delivered (`None` = hole filled with a nop).
-    decided: BTreeMap<SerialOrdKey, Option<Proposal>>,
+    /// Every decision learned since boot, delivered or not.
+    learned: InstanceWindow<Learned>,
     /// Next instance to deliver.
     next_deliver: InstanceId,
     /// Requests already delivered — a re-sequenced duplicate (post
@@ -196,15 +370,11 @@ impl RingPaxosNode {
             expected_req: BTreeMap::new(),
             parked: BTreeMap::new(),
             ready: VecDeque::new(),
-            open: BTreeMap::new(),
-            accept_retry: BTreeMap::new(),
+            open: InstanceWindow::new(),
             assigned: BTreeMap::new(),
-            decision_log: BTreeMap::new(),
             max_ballot: if pos == 0 { Ballot::new(incarnation) } else { Ballot::ZERO },
-            accepted: BTreeMap::new(),
-            pred_acked: BTreeSet::new(),
-            forwarded: BTreeSet::new(),
-            decided: BTreeMap::new(),
+            acceptor: InstanceWindow::new(),
+            learned: InstanceWindow::new(),
             next_deliver: horizon.next(),
             delivered_reqs: BTreeSet::new(),
             max_seen: horizon,
@@ -316,11 +486,11 @@ impl RingPaxosNode {
             // A retransmission of a request already sequenced: re-serve
             // whatever stage it is in rather than sequencing it twice.
             if let Some(&iid) = self.assigned.get(&(p.sender, p.inc, p.req)) {
-                if let Some(decision) = self.decision_log.get(&iid.ord_key()).cloned() {
+                if let Some(decision) = self.learned.get(iid).map(|l| l.logged.clone()) {
                     let nop = decision.is_none();
                     let value = decision.unwrap_or_else(Self::nop_value);
                     self.multicast(now, RingPaxosMsg::Decision { iid, nop, value }, out);
-                } else if let Some(value) = self.open.get(&iid.ord_key()).cloned() {
+                } else if let Some(value) = self.open.get(iid).map(|o| o.value.clone()) {
                     let ballot = self.ballot;
                     self.multicast(now, RingPaxosMsg::Accept { iid, ballot, value }, out);
                 }
@@ -356,15 +526,21 @@ impl RingPaxosNode {
         while self.open.len() < WINDOW {
             let Some(p) = self.ready.pop_front() else { break };
             let iid = self.next_iid;
+            let was_idle = self.open.is_empty();
+            let opened = OpenInstance { value: p.clone(), sent: now, backoff: RETRY_NS };
+            if self.open.get_or_insert_with(iid, || opened).is_none() {
+                // The oldest open instance is stuck MAX_GAP behind:
+                // wait for it to decide before opening more.
+                self.ready.push_front(p);
+                break;
+            }
             self.next_iid = self.next_iid.next();
             self.observe(iid);
-            if self.open.is_empty() {
+            if was_idle {
                 self.note_transition("ring-paxos", "Idle", "Propose", "Open");
             } else {
                 self.note_transition("ring-paxos", "Open", "Pipeline", "Open");
             }
-            self.open.insert(iid.ord_key(), p.clone());
-            self.accept_retry.insert(iid.ord_key(), (now, RETRY_NS));
             self.assigned.insert((p.sender, p.inc, p.req), iid);
             let ballot = self.ballot;
             self.multicast(now, RingPaxosMsg::Accept { iid, ballot, value: p }, out);
@@ -382,7 +558,7 @@ impl RingPaxosNode {
         iid: InstanceId,
         out: &mut Vec<NodeOutput>,
     ) {
-        if self.decision_log.contains_key(&iid.ord_key()) {
+        if self.learned.contains(iid) {
             // Any node that saw the decision can serve a repair (the
             // requester may be the coordinator itself, if it missed
             // the Decision multicast). Serve the requested instance
@@ -391,7 +567,7 @@ impl RingPaxosNode {
             self.note_hole_fill();
             let mut at = iid;
             for _ in 0..8 {
-                let Some(decision) = self.decision_log.get(&at.ord_key()).cloned() else {
+                let Some(decision) = self.learned.get(at).map(|l| l.logged.clone()) else {
                     break;
                 };
                 let nop = decision.is_none();
@@ -404,11 +580,13 @@ impl RingPaxosNode {
         if !self.is_coordinator() {
             return; // nothing known here; the coordinator will answer
         }
-        if let Some(value) = self.open.get(&iid.ord_key()).cloned() {
+        if let Some(o) = self.open.get_mut(iid) {
             // Still in flight: drive the ring again instead of
             // deciding over its head.
+            o.sent = now;
+            o.backoff = RETRY_NS;
+            let value = o.value.clone();
             self.note_hole_fill();
-            self.accept_retry.insert(iid.ord_key(), (now, RETRY_NS));
             let ballot = self.ballot;
             self.multicast(now, RingPaxosMsg::Accept { iid, ballot, value }, out);
         } else if self.next_iid.follows(iid) {
@@ -447,15 +625,24 @@ impl RingPaxosNode {
         }
         self.max_ballot = ballot;
         self.observe(iid);
-        if self.decided.contains_key(&iid.ord_key()) || self.next_deliver.follows(iid) {
-            return; // already decided here
+        if self.decided_here(iid) {
+            return;
         }
-        // A fresh Accept is not in `forwarded`; a retransmitted one
-        // means the coordinator is still waiting, so whatever this
-        // acceptor sent last time was lost — send it again.
-        self.forwarded.remove(&iid.ord_key());
-        self.accepted.insert(iid.ord_key(), value);
+        let Some(slot) = self.acceptor.get_or_insert_with(iid, AcceptorSlot::default) else {
+            return;
+        };
+        // A fresh Accept is not `forwarded`; a retransmitted one means
+        // the coordinator is still waiting, so whatever this acceptor
+        // sent last time was lost — send it again.
+        slot.forwarded = false;
+        slot.value = Some(value);
         self.advance_ring(now, iid, out);
+    }
+
+    /// Whether `iid` is decided here, delivered or not. Every decided
+    /// instance at or after `next_deliver` is in `learned`.
+    fn decided_here(&self, iid: InstanceId) -> bool {
+        self.next_deliver.follows(iid) || self.learned.contains(iid)
     }
 
     fn on_ring_ack(
@@ -474,8 +661,14 @@ impl RingPaxosNode {
         if self.pos == 0 || self.members[self.pos - 1] != from {
             return; // not my predecessor's ack; not mine to forward
         }
-        self.pred_acked.insert(iid.ord_key());
-        if self.accepted.contains_key(&iid.ord_key()) {
+        if self.decided_here(iid) {
+            return; // a late ack: the instance has no vote left to forward
+        }
+        let Some(slot) = self.acceptor.get_or_insert_with(iid, AcceptorSlot::default) else {
+            return;
+        };
+        slot.pred_acked = true;
+        if slot.value.is_some() {
             self.advance_ring(now, iid, out);
         }
     }
@@ -490,13 +683,14 @@ impl RingPaxosNode {
         if self.pos == 0 && last != 0 {
             return; // the coordinator's vote travels inside the Accept
         }
-        let turn = self.pos <= 1 || self.pred_acked.contains(&iid.ord_key());
-        if !turn || self.forwarded.contains(&iid.ord_key()) {
+        let first = self.pos <= 1;
+        let Some(slot) = self.acceptor.get_mut(iid) else { return };
+        if !(first || slot.pred_acked) || slot.forwarded {
             return;
         }
-        self.forwarded.insert(iid.ord_key());
+        slot.forwarded = true;
         if self.pos == last {
-            let value = self.accepted.get(&iid.ord_key()).cloned().expect("accepted before decide");
+            let value = slot.value.clone().expect("accepted before decide");
             self.note_transition("ring-paxos-ring", "Steady", "LastDecide", "Steady");
             self.multicast(now, RingPaxosMsg::Decision { iid, nop: false, value }, out);
         } else {
@@ -518,13 +712,8 @@ impl RingPaxosNode {
         out: &mut Vec<NodeOutput>,
     ) {
         self.observe(iid);
-        let decision = if nop { None } else { Some(value) };
-        self.decision_log.entry(iid.ord_key()).or_insert_with(|| decision.clone());
-        self.accept_retry.remove(&iid.ord_key());
-        if self.is_coordinator()
-            && self.open.remove(&iid.ord_key()).is_some()
-            && self.open.is_empty()
-        {
+        let decision: Decision = if nop { None } else { Some(value) };
+        if self.open.remove(iid).is_some() && self.open.is_empty() {
             self.note_transition("ring-paxos", "Open", "Drained", "Idle");
         }
         // Our own submission came home: stop retrying it.
@@ -533,13 +722,18 @@ impl RingPaxosNode {
                 self.outstanding.remove(&p.req);
             }
         }
-        if self.next_deliver.follows(iid) {
-            return; // already delivered (retransmitted decision)
+        let delivered = self.next_deliver.follows(iid);
+        let Some(learned) = self
+            .learned
+            .get_or_insert_with(iid, || Learned { logged: decision.clone(), pending: None })
+        else {
+            return;
+        };
+        if delivered {
+            return; // a retransmitted decision
         }
-        self.decided.insert(iid.ord_key(), decision);
-        self.accepted.remove(&iid.ord_key());
-        self.pred_acked.remove(&iid.ord_key());
-        self.forwarded.remove(&iid.ord_key());
+        learned.pending = Some(decision);
+        self.acceptor.remove(iid);
         self.deliver_in_order(out);
         if self.is_coordinator() {
             self.fill_window(now, out);
@@ -547,7 +741,9 @@ impl RingPaxosNode {
     }
 
     fn deliver_in_order(&mut self, out: &mut Vec<NodeOutput>) {
-        while let Some(decision) = self.decided.remove(&self.next_deliver.ord_key()) {
+        while let Some(decision) =
+            self.learned.get_mut(self.next_deliver).and_then(|l| l.pending.take())
+        {
             let iid = self.next_deliver;
             self.next_deliver = self.next_deliver.next();
             self.gap_since = None;
@@ -569,8 +765,15 @@ impl RingPaxosNode {
 
     /// Whether delivery is stuck behind a missing decision.
     fn delivery_gap(&self) -> bool {
-        self.max_seen.at_or_after(self.next_deliver)
-            && !self.decided.contains_key(&self.next_deliver.ord_key())
+        self.max_seen.at_or_after(self.next_deliver) && !self.learned.contains(self.next_deliver)
+    }
+
+    /// Decided instances not yet delivered (`None` = a nop), in
+    /// instance order.
+    fn undelivered(&self) -> impl Iterator<Item = (InstanceId, &Decision)> {
+        self.learned
+            .iter_from(self.next_deliver)
+            .filter_map(|(k, l)| Some((k, l.pending.as_ref()?)))
     }
 
     // --- timers ---
@@ -579,7 +782,7 @@ impl RingPaxosNode {
         let busy = !self.outstanding.is_empty()
             || !self.open.is_empty()
             || !self.ready.is_empty()
-            || !self.decided.is_empty()
+            || self.undelivered().next().is_some()
             || self.delivery_gap();
         if !busy {
             self.deadline = None;
@@ -605,15 +808,14 @@ impl RingPaxosNode {
         // coordinator). The backoff doubles per retry so a healthily
         // loaded pipeline — where "outstanding" just means "queued" —
         // is not drowned in retransmissions.
-        let due: Vec<u64> = self
-            .outstanding
-            .iter()
-            .filter(|(_, r)| now.saturating_sub(r.sent) >= r.backoff)
-            .take(8)
-            .map(|(&req, _)| req)
-            .collect();
-        for req in due {
-            let r = self.outstanding.get_mut(&req).expect("selected above");
+        let (due, n) = first_eight(
+            self.outstanding
+                .iter()
+                .filter(|(_, r)| now.saturating_sub(r.sent) >= r.backoff)
+                .map(|(&req, _)| req),
+        );
+        for &req in &due[..n] {
+            let Some(r) = self.outstanding.get_mut(&req) else { continue };
             r.sent = now;
             r.backoff = (r.backoff * 2).min(RETRY_MAX_NS);
             let p = Proposal { sender: self.id, inc: self.inc, req, payload: r.payload.clone() };
@@ -621,28 +823,22 @@ impl RingPaxosNode {
         }
         // Coordinator: drive the ring again for undecided instances
         // whose backoff has expired.
-        if self.is_coordinator() {
-            let stalled: Vec<(InstanceId, Proposal)> = self
-                .open
+        let (stalled, n) = first_eight(
+            self.open
                 .iter()
-                .filter(|(k, _)| {
-                    self.accept_retry
-                        .get(k)
-                        .is_none_or(|&(sent, backoff)| now.saturating_sub(sent) >= backoff)
-                })
-                .take(8)
-                .map(|(k, p)| (InstanceId::new(k.as_u64()), p.clone()))
-                .collect();
-            if !stalled.is_empty() {
-                self.note_transition("ring-paxos", "Open", "Retry", "Open");
-            }
-            for (iid, value) in stalled {
-                let e = self.accept_retry.entry(iid.ord_key()).or_insert((now, RETRY_NS));
-                e.0 = now;
-                e.1 = (e.1 * 2).min(RETRY_MAX_NS);
-                let ballot = self.ballot;
-                self.multicast(now, RingPaxosMsg::Accept { iid, ballot, value }, out);
-            }
+                .filter(|(_, o)| now.saturating_sub(o.sent) >= o.backoff)
+                .map(|(iid, _)| iid),
+        );
+        if n > 0 {
+            self.note_transition("ring-paxos", "Open", "Retry", "Open");
+        }
+        for &iid in &stalled[..n] {
+            let Some(o) = self.open.get_mut(iid) else { continue };
+            o.sent = now;
+            o.backoff = (o.backoff * 2).min(RETRY_MAX_NS);
+            let value = o.value.clone();
+            let ballot = self.ballot;
+            self.multicast(now, RingPaxosMsg::Accept { iid, ballot, value }, out);
         }
         // Learner: a gap that outlived the grace period gets reported
         // for repair — to the coordinator, whose log is authoritative;
@@ -671,6 +867,18 @@ impl RingPaxosNode {
         }
         self.rearm(now);
     }
+}
+
+/// The first eight of `items` (fewer if it runs out), gathered without
+/// allocating: a tick re-sends at most eight items of each kind.
+fn first_eight<T: Copy + Default>(items: impl Iterator<Item = T>) -> ([T; 8], usize) {
+    let mut batch = [T::default(); 8];
+    let mut n = 0;
+    for (slot, item) in batch.iter_mut().zip(items) {
+        *slot = item;
+        n += 1;
+    }
+    (batch, n)
 }
 
 impl Broadcast for RingPaxosNode {
@@ -754,15 +962,16 @@ impl Broadcast for RingPaxosNode {
             pending.payload.len().hash(h);
         }
         self.open.len().hash(h);
-        for k in self.open.keys() {
+        for (k, _) in self.open.iter() {
             k.as_u64().hash(h);
         }
-        self.accepted.len().hash(h);
-        for k in self.accepted.keys() {
+        let accepted = || self.acceptor.iter().filter(|(_, s)| s.value.is_some());
+        accepted().count().hash(h);
+        for (k, _) in accepted() {
             k.as_u64().hash(h);
         }
-        self.decided.len().hash(h);
-        for (k, v) in &self.decided {
+        self.undelivered().count().hash(h);
+        for (k, v) in self.undelivered() {
             k.as_u64().hash(h);
             v.is_some().hash(h);
         }
@@ -1039,6 +1248,81 @@ mod tests {
         }
         assert_eq!(coord.open_instances(), WINDOW);
         assert!(coord.submit_into(0, Bytes::from_static(b"z"), &mut out).is_err());
+    }
+
+    mod window {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Checks every read of `w` against the model, whose keys are
+        /// offsets from `origin`.
+        fn agree(w: &InstanceWindow<u32>, model: &BTreeMap<i64, u32>, origin: u64) {
+            let at = |off: i64| InstanceId::new(origin.wrapping_add_signed(off));
+            assert_eq!(w.len(), model.len());
+            assert_eq!(w.is_empty(), model.is_empty());
+            let all: Vec<(InstanceId, u32)> = model.iter().map(|(&k, &v)| (at(k), v)).collect();
+            assert_eq!(w.iter().map(|(k, &v)| (k, v)).collect::<Vec<_>>(), all);
+            for probe in -60..60 {
+                assert_eq!(w.get(at(probe)), model.get(&probe), "get {probe}");
+                assert_eq!(w.contains(at(probe)), model.contains_key(&probe));
+            }
+            for probe in (-60..60).step_by(13) {
+                let from: Vec<(InstanceId, u32)> =
+                    model.range(probe..).map(|(&k, &v)| (at(k), v)).collect();
+                assert_eq!(w.iter_from(at(probe)).map(|(k, &v)| (k, v)).collect::<Vec<_>>(), from);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+            /// The window behaves as a `BTreeMap` ordered by serial
+            /// offset, including across the `u64` wrap, and refuses
+            /// exactly the inserts more than `MAX_GAP` beyond its ends.
+            #[test]
+            fn window_matches_a_btreemap(
+                origin in prop_oneof![Just(u64::MAX - 30), Just(1u64), any::<u64>()],
+                ops in proptest::collection::vec((0u8..8, -50i64..50, any::<u32>()), 0..80),
+            ) {
+                let at = |off: i64| InstanceId::new(origin.wrapping_add_signed(off));
+                let gap = i64::try_from(MAX_GAP).unwrap();
+                let mut w = InstanceWindow::new();
+                let mut model = BTreeMap::new();
+                for (op, off, v) in ops {
+                    match op {
+                        0..=3 => {
+                            let got = w.get_or_insert_with(at(off), || v).map(|x| *x);
+                            prop_assert_eq!(got, Some(*model.entry(off).or_insert(v)));
+                        }
+                        4 | 5 => prop_assert_eq!(w.remove(at(off)), model.remove(&off)),
+                        6 => {
+                            if let Some(x) = w.get_mut(at(off)) {
+                                *x = v;
+                            }
+                            if let Some(x) = model.get_mut(&off) {
+                                *x = v;
+                            }
+                        }
+                        _ => {
+                            // An insert exactly at, or one past, the
+                            // bound beyond the nearer end; undone at
+                            // once so the window stays small.
+                            let (Some(&lo), Some(&hi)) = (model.keys().next(), model.keys().last())
+                            else { continue };
+                            let dist = gap + (off & 1);
+                            let far = if off < 0 { lo - dist } else { hi + dist };
+                            let got = w.get_or_insert_with(at(far), || v).is_some();
+                            prop_assert_eq!(got, dist <= gap);
+                            prop_assert_eq!(w.len(), model.len() + usize::from(got));
+                            if got {
+                                prop_assert_eq!(w.remove(at(far)), Some(v));
+                            }
+                        }
+                    }
+                    agree(&w, &model, origin);
+                }
+            }
+        }
     }
 
     #[test]
